@@ -26,9 +26,7 @@ _ID_ALPHABET = frozenset(
 
 def is_valid_video_id(video_id: str) -> bool:
     """True when ``video_id`` is a syntactically valid YouTube id."""
-    return len(video_id) == VIDEO_ID_LENGTH and all(
-        ch in _ID_ALPHABET for ch in video_id
-    )
+    return len(video_id) == VIDEO_ID_LENGTH and _ID_ALPHABET.issuperset(video_id)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.synth.rng import CdfSampler
 from repro.world.countries import CountryRegistry, default_registry
 from repro.world.regions import LANGUAGE_CLUSTERS, REGIONS
 from repro.world.traffic import TrafficModel, default_traffic_model
@@ -128,6 +129,7 @@ class GeoProfileFactory:
         self._online = np.array(
             [country.online_population for country in self.registry], dtype=float
         )
+        self._anchor_sampler = CdfSampler(self._online / self._online.sum())
         self._languages: Dict[str, List[int]] = {
             language: [
                 i
@@ -172,9 +174,7 @@ class GeoProfileFactory:
         same-language countries weighted by online population.
         """
         if anchor is None:
-            anchor_idx = int(
-                self.rng.choice(len(self._codes), p=self._online / self._online.sum())
-            )
+            anchor_idx = self._anchor_sampler.draw(self.rng)
             anchor = self._codes[anchor_idx]
         else:
             anchor_idx = self._index[anchor]

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.synth.rng import CdfSampler
 from repro.synth.videomodel import SynthVideo
 
 
@@ -71,7 +72,7 @@ class RelatedGraphBuilder:
         # Global preferential-attachment weights.
         views = np.array([video.views for video in videos], dtype=float)
         global_weights = np.power(views, self.preferential_exponent)
-        global_probs = global_weights / global_weights.sum()
+        global_sampler = CdfSampler(global_weights / global_weights.sum())
 
         # Primary-tag communities (index lists into `videos`).
         communities: Dict[str, List[int]] = {}
@@ -80,11 +81,11 @@ class RelatedGraphBuilder:
                 communities.setdefault(video.tags[0], []).append(index)
 
         # Per-community sampling distributions (preferential within too).
-        community_probs: Dict[str, np.ndarray] = {}
+        community_samplers: Dict[str, CdfSampler] = {}
         for tag, members in communities.items():
             if len(members) > 1:
                 weights = global_weights[members]
-                community_probs[tag] = weights / weights.sum()
+                community_samplers[tag] = CdfSampler(weights / weights.sum())
 
         for index, video in enumerate(videos):
             budget = min(self.related_count, n - 1)
@@ -99,14 +100,9 @@ class RelatedGraphBuilder:
             while len(chosen) < budget and attempts < max_attempts:
                 attempts += 1
                 if local_possible and self.rng.random() < self.p_local:
-                    candidate = int(
-                        self.rng.choice(
-                            len(members), p=community_probs.get(primary)
-                        )
-                    )
-                    candidate = members[candidate]
+                    candidate = members[community_samplers[primary].draw(self.rng)]
                 else:
-                    candidate = int(self.rng.choice(n, p=global_probs))
+                    candidate = global_sampler.draw(self.rng)
                 if candidate not in seen:
                     seen.add(candidate)
                     chosen.append(candidate)

@@ -38,6 +38,13 @@ from repro.world.traffic import default_traffic_model
 FORMAT_MARKER = "repro-universe"
 FORMAT_VERSION = 1
 
+#: gzip level for :func:`save_universe`. On the ``small`` preset (2-vCPU
+#: host), level 1 cuts a save from 1.15 s to 0.44 s (JSON encoding
+#: included) against the default 9, for a 15% larger file (2.59 MB
+#: instead of 2.26 MB). The stream is ordinary gzip, so
+#: :func:`load_universe` reads either.
+COMPRESS_LEVEL = 1
+
 PathLike = Union[str, Path]
 
 
@@ -70,7 +77,9 @@ def save_universe(universe: Universe, path: PathLike) -> int:
     }
     count = 0
     try:
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
+        with gzip.open(
+            path, "wt", encoding="utf-8", compresslevel=COMPRESS_LEVEL
+        ) as handle:
             handle.write(json.dumps(header))
             handle.write("\n")
             for video in universe.videos():

@@ -18,10 +18,12 @@ xxlarge   1,000,000  400,000  paper-scale corpus (stream-only)
 The ``xlarge``/``xxlarge`` presets approach the paper's real corpus
 (1.06M videos, 705k unique tags). They are **stream-only**: generate
 them with :class:`~repro.synth.stream.StreamingUniverse`, never with
-the object-path :func:`~repro.synth.universe.build_universe`, whose
-per-draw ``rng.choice(p=...)`` tag sampling is ``O(n_tags)`` per tag —
-computationally hopeless at this scale (and it would hold every video
-in RAM). :data:`STREAM_ONLY_PRESETS` names them so callers can route.
+the object-path :func:`~repro.synth.universe.build_universe`. The
+object path's draws are cheap — each weighted draw is a binary search
+on a cached CDF (:class:`~repro.synth.rng.CdfSampler`) — but it holds
+every video as a Python object in RAM, ground-truth share vector and
+all, which does not fit at this scale. :data:`STREAM_ONLY_PRESETS` names
+them so callers can route.
 
 These presets describe a *static* snapshot. For the time axis — the
 same corpora unrolled into deterministic view-delta streams with

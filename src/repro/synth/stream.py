@@ -1,10 +1,10 @@
 """Chunk-streaming universe generation for million-video corpora.
 
 :func:`~repro.synth.universe.build_universe` materializes every video as
-a Python object and samples tags one ``rng.choice(p=...)`` at a time —
-each such draw is ``O(n_tags)``, so at the paper's real scale (1.06M
-videos, 705k unique tags) the object path is computationally hopeless
-and would hold the whole corpus in RAM besides. This module generates
+a Python object and draws its tags one at a time in the interpreter, so
+at the paper's real scale (1.06M videos, 705k unique tags) the object
+path would hold the whole corpus in RAM and spend minutes in Python
+loops. This module generates
 the *same family* of universes as flat numpy arrays, one fixed-size
 block at a time:
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.synth.geo_profiles import GeoProfile, GeoProfileFactory, ProfileKind
+from repro.synth.rng import CdfSampler
 from repro.world.countries import CountryRegistry, default_registry
 
 #: Curated tags: (name, kind, anchor). The GLOBAL entries occupy the very
@@ -148,7 +149,7 @@ class TagVocabulary:
 
         kinds = list(kind_mixture.keys())
         kind_probs = np.array([kind_mixture[kind] for kind in kinds], dtype=float)
-        kind_probs = kind_probs / kind_probs.sum()
+        kind_sampler = CdfSampler(kind_probs / kind_probs.sum())
 
         curated_at_rank = self._place_curated(n_tags)
 
@@ -168,7 +169,7 @@ class TagVocabulary:
                 while name in used_names:
                     name = _synthetic_tag_name(synth_index)
                     synth_index += 1
-                kind = kinds[int(rng.choice(len(kinds), p=kind_probs))]
+                kind = kinds[kind_sampler.draw(rng)]
                 profile = factory.sample(kind)
             used_names.add(name)
             info = TagInfo(
@@ -181,29 +182,26 @@ class TagVocabulary:
             self._by_name[name] = info
 
         self._weights = np.array([tag.weight for tag in self._tags], dtype=float)
-        self._probs = self._weights / self._weights.sum()
+        self._sampler = CdfSampler(self._weights / self._weights.sum())
         # Off-topic co-tagging targets *popular* tags (uploaders court
         # search traffic with "video", "hd", "2011" — not other regions'
         # niche tags), so the incoherent branch samples with a sharper
         # head bias than plain Zipf.
         spam = self._weights**1.5
-        self._spam_probs = spam / spam.sum()
+        self._spam_sampler = CdfSampler(spam / spam.sum())
 
         # Topic groups for coherent co-occurrence: tags sharing an anchor
         # (kind, anchor) belong together; all GLOBAL tags form one group.
         self._group_of: List[str] = [
             f"{tag.kind.value}:{tag.profile.anchor or 'world'}" for tag in self._tags
         ]
-        self._group_members: Dict[str, np.ndarray] = {}
-        self._group_probs: Dict[str, np.ndarray] = {}
-        members_tmp: Dict[str, List[int]] = {}
+        self._group_members: Dict[str, List[int]] = {}
         for index, key in enumerate(self._group_of):
-            members_tmp.setdefault(key, []).append(index)
-        for key, members in members_tmp.items():
-            member_array = np.array(members, dtype=int)
-            weights = self._weights[member_array]
-            self._group_members[key] = member_array
-            self._group_probs[key] = weights / weights.sum()
+            self._group_members.setdefault(key, []).append(index)
+        self._group_samplers: Dict[str, CdfSampler] = {}
+        for key, members in self._group_members.items():
+            weights = self._weights[members]
+            self._group_samplers[key] = CdfSampler(weights / weights.sum())
 
     @staticmethod
     def _place_curated(
@@ -288,7 +286,7 @@ class TagVocabulary:
         chosen: List[TagInfo] = []
         seen = set()
         while len(chosen) < count:
-            idx = int(rng.choice(len(self._tags), p=self._probs))
+            idx = self._sampler.draw(rng)
             if idx not in seen:
                 seen.add(idx)
                 chosen.append(self._tags[idx])
@@ -317,12 +315,12 @@ class TagVocabulary:
         if not 0.0 <= coherence <= 1.0:
             raise ConfigError("coherence must be in [0, 1]")
         count = min(count, len(self._tags))
-        primary_idx = int(rng.choice(len(self._tags), p=self._probs))
+        primary_idx = self._sampler.draw(rng)
         chosen = [self._tags[primary_idx]]
         seen = {primary_idx}
         group = self._group_of[primary_idx]
         members = self._group_members[group]
-        member_probs = self._group_probs[group]
+        member_sampler = self._group_samplers[group]
         group_exhaustible = len(members) <= count
         attempts = 0
         max_attempts = count * 50
@@ -334,9 +332,9 @@ class TagVocabulary:
                 and rng.random() < coherence
             )
             if use_group:
-                idx = int(members[rng.choice(len(members), p=member_probs)])
+                idx = members[member_sampler.draw(rng)]
             else:
-                idx = int(rng.choice(len(self._tags), p=self._spam_probs))
+                idx = self._spam_sampler.draw(rng)
             if idx not in seen:
                 seen.add(idx)
                 chosen.append(self._tags[idx])

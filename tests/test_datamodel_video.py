@@ -36,6 +36,35 @@ class TestVideoIdValidation:
     def test_bad_characters_invalid(self):
         assert not is_valid_video_id("dQw4w9WgXc!")
 
+    @pytest.mark.parametrize("video_id", ["", VALID_ID[:-1], VALID_ID * 2])
+    def test_empty_and_near_miss_lengths_invalid(self, video_id):
+        assert not is_valid_video_id(video_id)
+
+    @pytest.mark.parametrize("position", [0, 5, 10])
+    @pytest.mark.parametrize("bad", [" ", ".", "/", "+", "=", "\n"])
+    def test_bad_character_anywhere_invalid(self, position, bad):
+        video_id = VALID_ID[:position] + bad + VALID_ID[position + 1 :]
+        assert len(video_id) == len(VALID_ID)
+        assert not is_valid_video_id(video_id)
+
+    @pytest.mark.parametrize(
+        "video_id",
+        [
+            "dQw4w9WgXc\u00e9",
+            "\u00f1Qw4w9WgXcQ",
+            "dQw4w9\uff37gXcQ",
+            "dQw4w9WgXc\U0001f600",
+        ],
+    )
+    def test_non_ascii_invalid(self, video_id):
+        assert len(video_id) == 11
+        assert not is_valid_video_id(video_id)
+
+    def test_full_alphabet_valid(self):
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+        for start in range(0, len(alphabet) - 10):
+            assert is_valid_video_id(alphabet[start : start + 11])
+
     def test_invalid_id_raises(self):
         with pytest.raises(InvalidVideoError):
             make_video(video_id="nope")
