@@ -7,21 +7,25 @@ The :class:`TrendingDetector` consumes the
 :class:`~repro.engine.incremental.ApplyResult` of every batch the
 :class:`~repro.engine.incremental.IncrementalEngine` absorbs and
 maintains exponentially decayed per-country view-delta rates for every
-video row and every tag:
+video row, from which every tag's rate follows:
 
 - a batch adds ``row_views_added[i]`` views to row *i*; the detector
   spreads that impulse across countries proportional to the row's
   *current* Eq. (1)–(2) estimate shares (the engine just recomputed
   them, so the split reflects the video's geography as reconstructed
   from its popularity map);
-- each of the row's tags receives the same per-country impulse, so a
-  tag's score is the decayed sum of its moving members;
 - all scores decay with a half-life: an impulse of *w* views observed
-  ``Δt`` seconds ago is worth ``w · 2^(−Δt / half_life)`` now.
+  ``Δt`` seconds ago is worth ``w · 2^(−Δt / half_life)`` now;
+- a tag's score is the decayed sum of its members' scores. A video's
+  tag list is fixed at arrival and a row is moved only after it
+  exists, so this sum equals the tag's decayed rate (in floats, up to
+  summation order); tags store nothing and are summed at query time
+  in O(tag entries), one ``bincount`` over the engine's video→tag CSR.
 
-Decay is applied lazily — each surface stores raw accumulated impulse
-plus its last-touch timestamp, and queries fold the elapsed decay in —
-so :meth:`~TrendingDetector.update` costs O(touched), never O(V).
+Decay is applied lazily — each row stores raw accumulated impulse plus
+its last-touch timestamp, and queries fold the elapsed decay in — so
+:meth:`~TrendingDetector.update` costs O(touched rows × countries),
+never O(V).
 
 The output side feeds serving: :meth:`~TrendingDetector.top_tags` /
 :meth:`~TrendingDetector.top_videos` answer "what is moving in
@@ -69,8 +73,8 @@ class TrendingDetector:
         n_c = engine.n_countries
         self._video_rate = np.zeros((0, n_c), dtype=np.float64)
         self._video_last = np.zeros(0, dtype=np.float64)
-        self._tag_rate = np.zeros((0, n_c), dtype=np.float64)
-        self._tag_last = np.zeros(0, dtype=np.float64)
+        # Row of every video→tag entry, rebuilt when the CSR grows.
+        self._entry_rows = np.zeros(0, dtype=np.int64)
         self._now: Optional[float] = None
         self.batches_observed = 0
 
@@ -101,82 +105,51 @@ class TrendingDetector:
         shares = np.where(totals > 0.0, est / np.where(totals > 0.0, totals, 1.0), 1.0 / n_c)
         impulse = added[:, None] * shares
 
-        self._deposit(self._video_rate, self._video_last, rows, impulse, result.timestamp)
-
-        tag_ids, counts = self.engine.tags_of_rows(rows)
-        if len(tag_ids):
-            per_entry = np.repeat(impulse, counts, axis=0)
-            order = np.argsort(tag_ids, kind="stable")
-            tag_sorted = tag_ids[order]
-            boundary = np.concatenate(([True], np.diff(tag_sorted) > 0))
-            unique_tags = tag_sorted[boundary]
-            tag_impulse = np.add.reduceat(
-                per_entry[order], np.flatnonzero(boundary), axis=0
-            )
-            self._deposit(
-                self._tag_rate, self._tag_last, unique_tags, tag_impulse,
-                result.timestamp,
-            )
-
-    def _deposit(
-        self,
-        rate: np.ndarray,
-        last: np.ndarray,
-        index: np.ndarray,
-        impulse: np.ndarray,
-        now: float,
-    ) -> None:
-        decay = np.exp2(-(now - last[index]) / self.half_life)
-        rate[index] = rate[index] * decay[:, None] + impulse
-        last[index] = now
+        decay = np.exp2(-(result.timestamp - self._video_last[rows]) / self.half_life)
+        self._video_rate[rows] = self._video_rate[rows] * decay[:, None] + impulse
+        self._video_last[rows] = result.timestamp
 
     def _grow(self) -> None:
-        n_c = self.engine.n_countries
-        for attr_rate, attr_last, n in (
-            ("_video_rate", "_video_last", self.engine.n_videos),
-            ("_tag_rate", "_tag_last", self.engine.n_tags),
-        ):
-            rate = getattr(self, attr_rate)
-            if n > len(rate):
-                cap = max(n, 2 * len(rate), 1024)
-                grown = np.zeros((cap, n_c), dtype=np.float64)
-                grown[: len(rate)] = rate
-                setattr(self, attr_rate, grown)
-                last = getattr(self, attr_last)
-                grown_last = np.zeros(cap, dtype=np.float64)
-                # Unseen entries decay from the current time, not t=0.
-                grown_last[:] = self._now if self._now is not None else 0.0
-                grown_last[: len(last)] = last
-                setattr(self, attr_last, grown_last)
+        n = self.engine.n_videos
+        if n > len(self._video_rate):
+            cap = max(n, 2 * len(self._video_rate), 1024)
+            rate = np.zeros((cap, self.engine.n_countries), dtype=np.float64)
+            rate[: len(self._video_rate)] = self._video_rate
+            # Unseen rows decay from the current time, not t=0.
+            last = np.full(cap, self._now)
+            last[: len(self._video_last)] = self._video_last
+            self._video_rate, self._video_last = rate, last
 
     # -- queries -------------------------------------------------------------
 
-    def _scores(
-        self, rate: np.ndarray, last: np.ndarray, n: int, country: Optional[str]
-    ) -> np.ndarray:
+    def video_scores(self, country: Optional[str] = None) -> np.ndarray:
+        """Decayed delta-rate score per engine row (global or one country)."""
+        n = self.engine.n_videos
         if self._now is None or not n:
             return np.zeros(n, dtype=np.float64)
         if country is None:
-            raw = rate[:n].sum(axis=1)
+            raw = self._video_rate[:n].sum(axis=1)
         else:
             try:
-                raw = rate[:n, self._code_index[country]]
+                raw = self._video_rate[:n, self._code_index[country]]
             except KeyError:
                 raise AnalysisError(
                     f"unknown country code {country!r}"
                 ) from None
-        return raw * np.exp2(-(self._now - last[:n]) / self.half_life)
-
-    def video_scores(self, country: Optional[str] = None) -> np.ndarray:
-        """Decayed delta-rate score per engine row (global or one country)."""
-        return self._scores(
-            self._video_rate, self._video_last, self.engine.n_videos, country
-        )
+        return raw * np.exp2(-(self._now - self._video_last[:n]) / self.half_life)
 
     def tag_scores(self, country: Optional[str] = None) -> np.ndarray:
-        """Decayed delta-rate score per tag id (global or one country)."""
-        return self._scores(
-            self._tag_rate, self._tag_last, self.engine.n_tags, country
+        """Decayed delta-rate score per tag id (global or one country):
+        the sum of its member videos' :meth:`video_scores`."""
+        indptr, entry_tags = self.engine.video_tag_csr
+        if len(self._entry_rows) != len(entry_tags):
+            self._entry_rows = np.repeat(
+                np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
+            )
+        return np.bincount(
+            entry_tags,
+            weights=self.video_scores(country)[self._entry_rows],
+            minlength=self.engine.n_tags,
         )
 
     def top_videos(
@@ -188,8 +161,10 @@ class TrendingDetector:
         (earlier arrival wins) so results are deterministic.
         """
         scores = self.video_scores(country)
-        ids = self.engine.video_ids
-        return [(ids[i], float(scores[i])) for i in self._rank(scores, count)]
+        return [
+            (self.engine.video_id(i), float(scores[i]))
+            for i in self._rank(scores, count)
+        ]
 
     def top_tags(
         self, country: Optional[str] = None, count: int = 10
@@ -197,19 +172,25 @@ class TrendingDetector:
         """The ``count`` fastest-moving tags, best first (see
         :meth:`top_videos` for tie/zero semantics)."""
         scores = self.tag_scores(country)
-        tags = self.engine.tags
-        return [(tags[i], float(scores[i])) for i in self._rank(scores, count)]
+        return [
+            (self.engine.tag_name(i), float(scores[i]))
+            for i in self._rank(scores, count)
+        ]
 
     @staticmethod
     def _rank(scores: np.ndarray, count: int) -> np.ndarray:
         if count < 0:
             raise AnalysisError(f"count must be >= 0, got {count}")
-        count = min(count, len(scores))
+        n = len(scores)
+        count = min(count, n)
         if not count:
             return np.empty(0, dtype=np.int64)
-        # Stable sort on -score keeps row order among equals.
-        order = np.argsort(-scores, kind="stable")[:count]
-        return order[scores[order] > 0.0]
+        # Candidates: every positive score >= the count-th largest, ties
+        # included; a stable sort of just those on -score keeps row
+        # order among equals, so this is the full stable sort's prefix.
+        kth = np.partition(scores, n - count)[n - count]
+        keep = np.flatnonzero((scores >= kth) & (scores > 0.0))
+        return keep[np.argsort(-scores[keep], kind="stable")][:count]
 
     def demand_vector(self) -> np.ndarray:
         """Per-country decayed delta totals, aligned with ``engine.codes``.

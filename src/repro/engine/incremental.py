@@ -391,6 +391,12 @@ class IncrementalEngine:
                 f"unknown video id {video_id!r}"
             ) from None
 
+    def video_id(self, row: int) -> str:
+        return self._ids[row]
+
+    def tag_name(self, tag_id: int) -> str:
+        return self._tags[tag_id]
+
     def tag_id(self, tag: str) -> int:
         try:
             return self._tag_of[tag]
@@ -406,16 +412,14 @@ class IncrementalEngine:
         lo, hi = self._vt_indptr[row], self._vt_indptr[row + 1]
         return self._readonly(self._vt_flat[lo:hi])
 
-    def tags_of_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenated tag ids of many rows plus each row's tag count.
-
-        One vectorized gather — this is how the trending detector maps
-        a batch's touched rows onto the tags they move.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self._vt_indptr[rows]
-        counts = self._vt_indptr[rows + 1] - starts
-        return self._vt_flat[self._flat_positions(starts, counts)], counts
+    @property
+    def video_tag_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The live video → tag CSR ``(indptr, tag_ids)``, read-only:
+        row *r*'s tag ids are ``tag_ids[indptr[r]:indptr[r + 1]]``."""
+        return (
+            self._readonly(self._vt_indptr),
+            self._readonly(self._vt_flat[: self._vt_len]),
+        )
 
     @staticmethod
     def _readonly(array: np.ndarray) -> np.ndarray:
